@@ -1,6 +1,6 @@
 """Benches for the fast engine: kernel speedup, batching, warm-cache startup.
 
-Six acceptance properties of the engine live here:
+Seven acceptance properties of the engine live here:
 
 * the vectorized kernels replay the 32KB/32-way way-placement configuration
   at least ~5x faster than the reference schemes (measured as events/sec on
@@ -11,6 +11,10 @@ Six acceptance properties of the engine live here:
 * the delta-driven ``--engine differential`` kernel replays a 256-point WPA
   sweep at least 5x faster than the batched kernel (adjacent configs share
   state snapshots, so dense sweeps cost little more than their divergences);
+* the default ``auto`` engine replays the same 256-point sweep as a
+  grid (planning, pricing and memoisation included) at least 5x faster
+  than per-cell ``--engine vector`` replay, because it plans the sweep
+  as one differential family;
 * the static pruning certificate (``--prune-static``) collapses at least
   20% of that 256-point sweep to representatives with bit-identical
   reports, at least halving the batch tier's wall time;
@@ -215,6 +219,70 @@ def test_bench_differential_sweep_256(benchmark, events):
     assert diff_time <= batch_time / 5.0, (
         f"differential sweep took {diff_time * 1000:.1f}ms, less than 5x "
         f"faster than the batched sweep ({batch_time * 1000:.1f}ms)"
+    )
+
+
+def test_bench_auto_sweep_256(benchmark, tmp_path_factory, monkeypatch):
+    """The bundled 256-point WPA sweep through the default-engine grid.
+
+    Runner-level on purpose: this gates the path a user gets without an
+    ``--engine`` flag — the planner forming one differential family,
+    then pricing and memoising every member — against per-cell vector
+    replay of the same grid, with bit-identical counters.
+    """
+    from repro.experiments.runner import ExperimentRunner
+
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    cache = tmp_path_factory.mktemp("auto-cache")
+    cells = [
+        GridCell("susan_c", "way-placement", wpa_size=point * KB)
+        for point in range(1, 257)
+    ]
+
+    def grid_time(engine):
+        runner = ExperimentRunner(engine=engine, cache_dir=cache)
+        runner.events("susan_c", LayoutPolicy.WAY_PLACEMENT, 32)
+
+        def sweep():
+            runner._reports.clear()
+            return runner.run_grid(cells)
+
+        sweep()
+        _, best = _time(sweep)
+        return runner, best
+
+    vector_runner, vector_time = grid_time("vector")
+    (auto_runner, auto_time), _ = run_once(
+        benchmark, lambda: _time(lambda: grid_time(None), repeats=1)
+    )
+    for cell in cells:
+        kwargs = cell.report_kwargs()
+        assert (
+            auto_runner.report(**kwargs).counters
+            == vector_runner.report(**kwargs).counters
+        ), f"default-engine counters diverge for {cell}"
+
+    summary = auto_runner.last_grid
+    assert summary is not None and summary.families == 1
+    assert summary.family_cells == len(cells)
+    speedup = vector_time / auto_time
+    emit(
+        f"[engine] 256-point WPA grid: vector {vector_time * 1000:.1f}ms, "
+        f"auto {auto_time * 1000:.1f}ms ({speedup:.1f}x)"
+    )
+    record_metric(
+        "grid.auto_sweep",
+        {
+            "cells": len(cells),
+            "families": summary.families,
+            "vector_wall_s": round(vector_time, 4),
+            "auto_wall_s": round(auto_time, 4),
+            "auto_speedup": round(speedup, 2),
+        },
+    )
+    assert auto_time <= vector_time / 5.0, (
+        f"default-engine sweep took {auto_time * 1000:.1f}ms, less than 5x "
+        f"faster than per-cell vector replay ({vector_time * 1000:.1f}ms)"
     )
 
 

@@ -2,7 +2,8 @@
 """Run the engine/throughput benches and snapshot the numbers.
 
 Executes ``benchmarks/test_bench_engine.py`` (kernel speedup, the batched
-16-point WPA sweep, the differential 256-point sweep, warm-cache startup)
+16-point WPA sweep, the differential 256-point sweep, the default-engine
+256-point grid, warm-cache startup)
 with ``$REPRO_BENCH_JSON`` pointed at a scratch file, then assembles
 ``BENCH_engine.json`` at the repository root: replay events/sec per
 engine, grid wall time per engine, and the batch/differential speedups,
@@ -11,7 +12,7 @@ Wall times are best-of-N (``--repeats``, default 3) so the checked-in
 speedup claims aren't single-run noise; N is recorded in the snapshot's
 ``environment`` block.  The file is meant to be checked in, so the bench
 trajectory of the repository is visible in history — and
-``scripts/bench_compare.py`` gates CI on it.
+``python -m repro bench compare`` gates CI on it.
 
 Usage::
 

@@ -362,10 +362,12 @@ def _add_budget_arguments(parser: argparse.ArgumentParser) -> None:
         "--engine",
         default=None,
         choices=["auto", "vector", "reference", "batch", "differential"],
-        help="replay engine (default auto or $REPRO_ENGINE; 'batch' replays "
-        "trace-sharing grid cells in one traversal, 'differential' also "
-        "shares state between adjacent sweep configs; see "
-        "docs/performance.md)",
+        help="replay engine (default auto or $REPRO_ENGINE; 'auto' replays "
+        "each WPA threshold sweep of a grid as one differential family and "
+        "every other cell per cell, 'vector' replays every cell per cell, "
+        "'batch' replays trace-sharing grid cells in one traversal, "
+        "'differential' also shares state between adjacent sweep configs "
+        "of any family; see docs/performance.md)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -439,8 +441,9 @@ def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
             "collapse sweep cells the static analysis proves "
             "outcome-equivalent to one representative replay, "
             "reconstructing the rest bit-identically under a certificate "
-            "(see docs/static_analysis.md); a failed certificate falls "
-            "back to unpruned execution"
+            "(see docs/static_analysis.md); takes effect on family "
+            "grids, including WPA sweeps under the default engine; a "
+            "failed certificate falls back to unpruned execution"
         ),
     )
     parser.add_argument(

@@ -24,15 +24,18 @@ a partial grid keeps all of its finished work, and a
 results, no pickling, the right default for tests and single-benchmark
 work.
 
-Under the ``batch`` engine a second coalescing layer kicks in: the
+Under the family-planning engines a second coalescing layer kicks in: the
 **planner** (:func:`plan_families`) groups the cells of a chunk into *batch
 families* — cells replaying the same line-event trace under the same cache
 geometry — and each family runs as **one** traversal of the trace via
-:func:`repro.engine.batch.batch_counters`, fanning the per-config counters
-back to the original cells in input order.  Cells the batched kernel cannot
-model (schemes without a kernel, exotic options) stay on the per-cell
-engines, and a family that fails for any reason degrades to the per-cell
-supervision ladder, so supervision semantics are unchanged.
+:func:`repro.engine.batch.batch_counters` (``batch``) or
+:func:`repro.engine.differential.differential_counters` (``differential``,
+and the default ``auto`` engine for threshold sweeps), fanning the
+per-config counters back to the original cells in input order.  Cells the
+family kernels cannot model (schemes without a kernel, exotic options)
+stay on the per-cell engines, and a family that fails for any reason
+degrades down the supervision ladder, so supervision semantics are
+unchanged.
 """
 
 from __future__ import annotations
@@ -92,8 +95,8 @@ class BatchFamily:
     bitmask traversal, :func:`repro.engine.batch.batch_counters`) or
     ``"differential"`` (delta-driven adjacent-config state sharing,
     :func:`repro.engine.differential.differential_counters`) — the latter
-    only when the runner asked for it and the family actually sweeps a
-    threshold axis.
+    only under the ``differential`` or default ``auto`` engine, and only
+    when the family actually sweeps a threshold axis.
     """
 
     benchmark: str
@@ -126,7 +129,12 @@ def plan_families(
     two or more *distinct* effective WPA thresholds (a baseline member is
     threshold 0) — is marked for delta-driven replay; a family with a
     single effective threshold has no adjacent configs to share state
-    between, so it stays on the batch tier.
+    between, so it stays on the batch tier.  Under ``"auto"`` (the
+    default engine) only adjacency chains become families, all marked
+    differential; every other group's cells stay single, so they run on
+    the per-cell vector kernels and the batch tier never runs on the
+    default path.  Any other value (``None``, ``"batch"``) plans plain
+    batch families.
     """
     # Imported lazily: repro.sim.simulator itself imports the engine
     # package, so a module-level import here would be circular.
@@ -159,10 +167,10 @@ def plan_families(
 
     families: List[BatchFamily] = []
     for (benchmark, policy, geometry), entries in groups.items():
-        if len(entries) < 2:
+        adjacency_chain = len({threshold for _, threshold in entries}) >= 2
+        if len(entries) < 2 or (engine == "auto" and not adjacency_chain):
             singles.extend(index for index, _ in entries)
             continue
-        adjacency_chain = len({threshold for _, threshold in entries}) >= 2
         families.append(
             BatchFamily(
                 benchmark=benchmark,
@@ -171,7 +179,7 @@ def plan_families(
                 indices=tuple(index for index, _ in entries),
                 engine=(
                     "differential"
-                    if engine == "differential" and adjacency_chain
+                    if engine in ("auto", "differential") and adjacency_chain
                     else "batch"
                 ),
             )

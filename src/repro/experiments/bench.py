@@ -9,6 +9,9 @@ more stable across runner hardware than the raw walls:
 * ``grid.wpa_sweep_16.batch_speedup`` — batched vs per-cell replay;
 * ``grid.wpa_sweep_256.differential_speedup`` — delta-driven vs batched
   replay;
+* ``grid.auto_sweep.auto_speedup`` — the default-engine grid (which
+  replays the 256-point sweep as one differential family) vs per-cell
+  ``vector`` replay of the same grid;
 * ``grid.wpa_sweep_256_pruned.pruned_fraction`` — the share of the
   256-point sweep the static pruning certificate collapses.  Not a wall
   time at all: the certificate is derived purely from the layout, so the
@@ -21,8 +24,7 @@ must not pass the gate); one missing from the *baseline* is reported and
 skipped, so the gate can be introduced before the baseline carries every
 metric.
 
-Exposed to the CLI as ``repro bench compare``;
-``scripts/bench_compare.py`` is a thin shim over that subcommand.
+Run it as ``python -m repro bench compare bench_ci.json``.
 """
 
 from __future__ import annotations
@@ -55,6 +57,8 @@ DEFAULT_TOLERANCE = 0.20
 GUARDED: Tuple[Tuple[str, str], ...] = (
     ("grid.wpa_sweep_16", "batch_speedup"),
     ("grid.wpa_sweep_256", "differential_speedup"),
+    # The surviving default: `auto` run_grid vs per-cell vector replay.
+    ("grid.auto_sweep", "auto_speedup"),
     ("grid.wpa_sweep_256_pruned", "pruned_fraction"),
     # Deliberately not a wall-clock ratio: the sharded backend's guarded
     # property is bit-identity under injected shard crashes (1.0 or 0.0).

@@ -16,8 +16,8 @@ aggregates.  Given the same seeds, the schedules and the verdict fields
 (``identical``, ``recovered``, ``ok``) are deterministic; incident lists
 are included for humans and may vary in order with scheduling.
 
-``scripts/chaos_check.py`` is a thin shim over the same entry point, kept
-for CI compatibility.
+CI runs ``python -m repro chaos --seed N --backend both`` for a seed
+matrix.
 """
 
 from __future__ import annotations
@@ -46,12 +46,19 @@ _LEASE_TIMEOUT_S = 0.5
 
 
 def drill_cells() -> List[GridCell]:
-    """The standard drill grid: two benchmarks, baseline + way-placement."""
+    """The standard drill grid: two benchmarks, baseline + a 2-point sweep.
+
+    Each benchmark's two WPA sizes form an adjacency chain, so the default
+    engine replays them as one differential family and the drill covers
+    the family rungs as well as the per-cell ladder (the baselines).
+    """
     return [
         GridCell("crc", "baseline"),
         GridCell("crc", "way-placement", wpa_size=8 * KB),
+        GridCell("crc", "way-placement", wpa_size=16 * KB),
         GridCell("sha", "baseline"),
         GridCell("sha", "way-placement", wpa_size=8 * KB),
+        GridCell("sha", "way-placement", wpa_size=16 * KB),
     ]
 
 
@@ -68,15 +75,20 @@ def build_rules(seed: int, backend: str = "local") -> Tuple[ChaosRule, ...]:
     """A seed-derived schedule covering every recovery rung at once.
 
     The backend-independent tail (sanitizer trip, probabilistic cell
-    faults, disk faults mid-cache-write) is shared; the head injects the
-    faults specific to how the chosen backend distributes work.
+    faults, a failed differential family, disk faults mid-cache-write) is
+    shared; the head injects the faults specific to how the chosen backend
+    distributes work.
     """
     rng = random.Random(seed)
     crash_bench = rng.choice(["crc", "sha"])
     hang_bench = "sha" if crash_bench == "crc" else "crc"
     shared = (
-        ChaosRule("kernel", "sanitizer", match="way-placement", times=1),
+        # The sweeps replay as families, so the kernel fault targets the
+        # per-cell baselines to keep the engine-fallback rung exercised.
+        ChaosRule("kernel", "sanitizer", match="baseline", times=1),
         ChaosRule("cell", "raise", times=-1, probability=0.2),
+        # A differential family fails once and re-runs on the batch tier.
+        ChaosRule("differential", "raise", times=1),
         ChaosRule("store.save", "enospc", times=1),
         ChaosRule("store.save", "truncate", match="events:", times=1),
         # A shared-memory attach fails: the worker must degrade to its own

@@ -271,12 +271,14 @@ def run_cell(
 # Chunk execution: batch families first, then the per-cell ladder
 # ---------------------------------------------------------------------------
 def _family_engine(runner: Any) -> Optional[str]:
-    """The family tier this chunk should plan for, or ``None`` for per-cell.
+    """The engine this chunk's families are planned for, or ``None``.
 
-    ``"batch"`` or ``"differential"`` when the runner's engine resolves to
-    that tier and the runner can actually execute a family.  An invalid
-    engine name returns ``None`` so the per-cell path surfaces the proper
-    error.
+    ``"auto"``, ``"batch"`` or ``"differential"`` when the runner's engine
+    resolves to that name and the runner can actually execute a family
+    (under ``"auto"`` the planner forms differential families for
+    threshold sweeps only).  ``vector`` and ``reference`` demand per-cell
+    replay, and an invalid engine name returns ``None`` so the per-cell
+    path surfaces the proper error.
     """
     if not hasattr(runner, "report_family"):
         return None
@@ -286,7 +288,7 @@ def _family_engine(runner: Any) -> Optional[str]:
         engine = resolve_engine(getattr(runner, "engine", None))
     except Exception:
         return None
-    return engine if engine in ("batch", "differential") else None
+    return engine if engine in ("auto", "batch", "differential") else None
 
 
 def run_cells(
@@ -302,10 +304,11 @@ def run_cells(
 
     ``emit(index, report)`` is called for every completed cell and
     ``fail(index, error)`` for every cell that exhausted the ladder, both
-    with indices into ``cells``.  Under the ``batch`` and ``differential``
-    engines, cells are first coalesced into families
-    (:func:`repro.engine.grid.plan_families`) and each family replays with
-    one trace traversal; a family that fails for *any* reason — sanitizer
+    with indices into ``cells``.  Under the ``auto``, ``batch`` and
+    ``differential`` engines, cells are first coalesced into families
+    (:func:`repro.engine.grid.plan_families`; ``auto`` keeps only
+    threshold sweeps, as differential families) and each family replays
+    with one trace traversal; a family that fails for *any* reason — sanitizer
     trip, kernel bug, injected fault — records a recovered
     :class:`FailureReport` and degrades one rung: a pruned family re-runs
     unpruned, a differential family re-runs as a plain batch family, and a

@@ -34,9 +34,11 @@ from repro.trace.fetch import line_events_from_block_trace
 __all__ = ["Simulator", "resolve_engine", "scheme_options", "simulate"]
 
 #: Replay engine choices: ``auto`` uses a vectorized kernel when one exists
-#: and falls back to the reference scheme; ``vector`` demands the kernel
-#: (raising when there is none); ``reference`` always runs the pure-Python
-#: scheme objects; ``batch`` behaves like ``auto`` for a single replay but
+#: and falls back to the reference scheme, and lets the grid planner replay
+#: threshold sweeps as differential families; ``vector`` demands the
+#: kernel (raising when there is none); ``reference`` always runs the
+#: pure-Python scheme objects; ``batch`` behaves like ``auto`` for a single
+#: replay but
 #: additionally lets the grid planner coalesce cells sharing a trace into
 #: one batched traversal (see :mod:`repro.engine.batch`); ``differential``
 #: extends ``batch`` by replaying threshold-sweep families with
@@ -55,9 +57,6 @@ def resolve_engine(engine: Optional[str]) -> str:
         )
     return engine
 
-
-# Backwards-compatible alias (pre-batch-engine name).
-_resolve_engine = resolve_engine
 
 
 def scheme_options(

@@ -28,6 +28,7 @@ def _metrics(**overrides):
     base = {
         "grid.wpa_sweep_16": {"batch_speedup": 4.0},
         "grid.wpa_sweep_256": {"differential_speedup": 10.0},
+        "grid.auto_sweep": {"auto_speedup": 20.0},
         "grid.wpa_sweep_256_pruned": {"pruned_fraction": 0.9},
         "grid.sharded_sweep": {"chaos_identical": 1.0},
         "store.load_events": {"warm_speedup": 8.0},

@@ -14,8 +14,8 @@ allowed to change a number.  This suite pins it down four ways:
   seeded streams — including a direct-mapped geometry where every split
   must reconverge through eviction cascades;
 * **planner behaviour** — :func:`~repro.engine.grid.plan_families` marks a
-  family ``differential`` only when that engine is requested *and* the
-  family sweeps two or more distinct effective thresholds;
+  family ``differential`` only when that engine (or ``auto``) is requested
+  *and* the family sweeps two or more distinct effective thresholds;
 * **grid execution** — ``--engine differential`` grids stay bit-identical
   to the reference engine;
 * **supervision** — seeded chaos faults walk the full degradation ladder:
@@ -182,7 +182,10 @@ class TestPlanner:
         )
         assert families and all(family.engine == "batch" for family in families)
 
-    def test_default_engine_never_marks_differential(self):
+    def test_unspecified_engine_plans_batch_families(self):
+        # Direct planner callers that name no engine get plain batch
+        # families; the default-engine grid path passes "auto" (see
+        # tests/test_engine_auto_families.py).
         runner = make_runner()
         families, _ = plan_families(SWEEP_CELLS, runner._resolve_layout_policy)
         assert families and all(family.engine == "batch" for family in families)
