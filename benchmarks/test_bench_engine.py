@@ -1,6 +1,6 @@
 """Benches for the fast engine: kernel speedup, batching, warm-cache startup.
 
-Seven acceptance properties of the engine live here:
+Six acceptance properties of the engine live here:
 
 * the vectorized kernels replay the 32KB/32-way way-placement configuration
   at least ~5x faster than the reference schemes (measured as events/sec on
@@ -15,9 +15,6 @@ Seven acceptance properties of the engine live here:
   grid (planning, pricing and memoisation included) at least 5x faster
   than per-cell ``--engine vector`` replay, because it plans the sweep
   as one differential family;
-* the static pruning certificate (``--prune-static``) collapses at least
-  20% of that 256-point sweep to representatives with bit-identical
-  reports, at least halving the batch tier's wall time;
 * the sharded execution backend replays a 16-point sweep bit-identically
   to the serial run — including under seeded chaos that crashes every
   shard's first lease (``chaos_identical``, guarded by the compare gate);
@@ -286,76 +283,6 @@ def test_bench_auto_sweep_256(benchmark, tmp_path_factory, monkeypatch):
     )
 
 
-def test_bench_pruned_sweep_256(benchmark, tmp_path_factory):
-    """A 256-point WPA sweep behind a static pruning certificate.
-
-    Runner-level on purpose: pruning lives in the grid planner, not the
-    counter kernels, and its payoff is every replay *not* performed.
-    Measured against the batch tier, where replays dominate the family
-    wall time.  Two load-bearing claims: the certificate collapses at
-    least 20% of the cells, and every pruned cell's report is
-    bit-identical to the unpruned run's.
-    """
-    from repro.experiments.runner import ExperimentRunner
-
-    cache = tmp_path_factory.mktemp("prune-cache")
-    cells = [
-        GridCell("susan_c", "way-placement", wpa_size=point * KB)
-        for point in range(1, 257)
-    ]
-
-    def grid_time(prune):
-        runner = ExperimentRunner(engine="batch", cache_dir=cache, prune=prune)
-        runner.events("susan_c", LayoutPolicy.WAY_PLACEMENT, 32)
-
-        def sweep():
-            runner._reports.clear()
-            return runner.run_grid(cells)
-
-        sweep()
-        _, best = _time(sweep)
-        return runner, best
-
-    unpruned_runner, unpruned_time = grid_time(prune=False)
-    (pruned_runner, pruned_time), _ = run_once(
-        benchmark, lambda: _time(lambda: grid_time(prune=True), repeats=1)
-    )
-    for cell in cells:
-        kwargs = cell.report_kwargs()
-        assert (
-            pruned_runner.report(**kwargs).counters
-            == unpruned_runner.report(**kwargs).counters
-        ), f"pruned counters diverge for {cell}"
-
-    summary = pruned_runner.last_grid
-    assert summary is not None and summary.family_cells >= len(cells)
-    pruned_fraction = summary.pruned / summary.family_cells
-    speedup = unpruned_time / pruned_time
-    emit(
-        f"[engine] 256-point pruned sweep: unpruned batch "
-        f"{unpruned_time * 1000:.1f}ms, pruned {pruned_time * 1000:.1f}ms "
-        f"({speedup:.1f}x, {pruned_fraction:.0%} of cells pruned)"
-    )
-    record_metric(
-        "grid.wpa_sweep_256_pruned",
-        {
-            "cells": len(cells),
-            "pruned": summary.pruned,
-            "pruned_fraction": round(pruned_fraction, 4),
-            "unpruned_wall_s": round(unpruned_time, 4),
-            "pruned_wall_s": round(pruned_time, 4),
-            "prune_speedup": round(speedup, 2),
-        },
-    )
-    assert pruned_fraction >= 0.20, (
-        f"certificate pruned only {pruned_fraction:.0%} of the sweep"
-    )
-    assert pruned_time <= unpruned_time / 2.0, (
-        f"pruned sweep took {pruned_time * 1000:.1f}ms, more than half of "
-        f"the unpruned batch sweep ({unpruned_time * 1000:.1f}ms)"
-    )
-
-
 def test_bench_sharded_sweep(benchmark, tmp_path_factory):
     """A 16-point WPA sweep on the fault-tolerant sharded backend.
 
@@ -435,17 +362,17 @@ def test_bench_sharded_sweep(benchmark, tmp_path_factory):
     assert recovered >= 4, "every shard's first lease should have crashed"
 
 
-def test_bench_store_load_events(benchmark, tmp_path_factory, monkeypatch):
-    """Warm ``TraceStore.load_events``: v2 mmap entries vs v1 ``.npz``.
+def test_bench_store_load_events(benchmark, tmp_path_factory):
+    """Warm ``TraceStore.load_events`` vs re-deriving the same events.
 
-    The v1 path decompresses the whole archive into fresh heap copies on
-    every load, so its cost scales with the trace; the v2 path maps raw
-    ``.npy`` members and hands back page-cache-backed views at a
-    near-constant few file opens.  Measured on the largest bundled
-    workload trace the benches build (susan_c walked for 2M
-    instructions): warm loads (page cache hot, best-of-N over a 10-load
-    inner loop) must clear 5x — the headline claim of the zero-copy
-    store format, guarded by the bench compare gate.
+    A store entry is worth keeping only while loading it beats deriving
+    it again: the load maps raw ``.npy`` members and hands back
+    page-cache-backed views at a near-constant few file opens, while
+    :func:`line_events_from_block_trace` rebuilds the line events from
+    the block trace.  Measured on the largest bundled workload trace the
+    benches build (susan_c walked for 2M instructions): warm loads (page
+    cache hot, best-of-N over a 10-load inner loop) must beat derivation
+    by 50x, guarded by the bench compare gate.
     """
     from repro.engine.store import TraceStore
 
@@ -453,65 +380,52 @@ def test_bench_store_load_events(benchmark, tmp_path_factory, monkeypatch):
     models = branch_models_for(workload, LARGE_INPUT)
     trace = CfgWalker(workload.program, models, seed=2).walk(5 * BUDGET)
     layout = original_layout(workload.program)
-    events = line_events_from_block_trace(trace, workload.program, layout, 32)
 
-    root = tmp_path_factory.mktemp("store-formats")
+    def derive():
+        return line_events_from_block_trace(trace, workload.program, layout, 32)
+
+    events, derive_time = _time(derive)
+    store = TraceStore(tmp_path_factory.mktemp("store-load"))
     key = "bench|events|susan_c"
+    assert store.save_events(key, events) is not None
 
-    monkeypatch.setenv("REPRO_STORE_FORMAT", "1")
-    v1 = TraceStore(root / "v1")
-    assert v1.save_events(key, events) is not None
-    monkeypatch.delenv("REPRO_STORE_FORMAT")
-    v2 = TraceStore(root / "v2")
-    assert v2.save_events(key, events) is not None
+    def load():
+        return store.load_events(key)
 
-    def load_v1():
-        return v1.load_events(key)
+    _, cold = _time(load, repeats=1)
 
-    def load_v2():
-        return v2.load_events(key)
+    def many():
+        for _ in range(9):
+            load()
+        return load()
 
-    _, v1_cold = _time(load_v1, repeats=1)
-    _, v2_cold = _time(load_v2, repeats=1)
-
-    def many(load):
-        def run():
-            for _ in range(9):
-                load()
-            return load()
-
-        return run
-
-    got_v1, v1_warm10 = _time(many(load_v1))
-    got_v2, v2_warm10 = run_once(benchmark, lambda: _time(many(load_v2)))
-    v1_warm, v2_warm = v1_warm10 / 10, v2_warm10 / 10
-    assert got_v1.line_size == got_v2.line_size == events.line_size
+    got, warm10 = run_once(benchmark, lambda: _time(many))
+    warm = warm10 / 10
+    assert got.line_size == events.line_size
     import numpy as np
 
     for field in ("line_addrs", "counts", "slots"):
-        assert np.array_equal(getattr(got_v2, field), getattr(events, field))
-        assert np.array_equal(getattr(got_v1, field), getattr(events, field))
-    assert not got_v2.line_addrs.flags.writeable
+        assert np.array_equal(getattr(got, field), getattr(events, field))
+    assert not got.line_addrs.flags.writeable
 
-    speedup = v1_warm / v2_warm
+    speedup = derive_time / warm
     emit(
         f"[engine] store.load_events ({events.num_events:,} events): "
-        f"v1 npz {v1_warm * 1000:.2f}ms, v2 mmap {v2_warm * 1000:.2f}ms warm "
-        f"({speedup:.1f}x; cold {v1_cold * 1000:.2f}ms vs {v2_cold * 1000:.2f}ms)"
+        f"warm load {warm * 1000:.2f}ms (cold {cold * 1000:.2f}ms), "
+        f"derive {derive_time * 1000:.1f}ms ({speedup:.0f}x)"
     )
     record_metric(
         "store.load_events",
         {
             "events": events.num_events,
-            "v1_cold_ms": round(v1_cold * 1000, 3),
-            "v2_cold_ms": round(v2_cold * 1000, 3),
-            "v1_warm_ms": round(v1_warm * 1000, 3),
-            "v2_warm_ms": round(v2_warm * 1000, 3),
-            "warm_speedup": round(speedup, 2),
+            "cold_ms": round(cold * 1000, 3),
+            "warm_ms": round(warm * 1000, 3),
+            "derive_ms": round(derive_time * 1000, 3),
+            "derive_speedup": round(speedup, 2),
         },
     )
-    assert speedup >= 5.0, (
-        f"v2 mmap load only {speedup:.2f}x faster than the v1 npz load"
+    assert speedup >= 50.0, (
+        f"warm store load only {speedup:.1f}x faster than re-deriving the events"
     )
 
 
@@ -580,31 +494,29 @@ def test_bench_grid_cold_vs_warm(benchmark, tmp_path_factory):
 
 
 def test_bench_grid_arena_rss(benchmark, tmp_path_factory, monkeypatch):
-    """Per-worker memory: v1 store without the plane vs v2 store + arena.
+    """Per-worker memory: the same warm store without and with the plane.
 
-    The pre-PR data plane (compressed ``.npz`` entries, every worker
-    decompressing private copies) against the zero-copy plane (mmap-able
-    v2 entries published once into shared memory).  Budgets are pinned
-    explicitly so the guarded verdict does not depend on
+    With ``REPRO_PLANE=off`` every worker loads its traces from the store
+    itself; with the plane on, the supervisor publishes them once into
+    shared memory and the workers attach.  Budgets are pinned explicitly
+    so the guarded verdict does not depend on
     ``$REPRO_EVAL_INSTRUCTIONS``.  The per-worker footprint is the grid
     summary's ``peak_worker_rss_kb`` — worker memory growth over its
     at-spawn baseline, measured as Pss so shared pages are billed
     fractionally.  Forked workers also copy-on-write whatever parent heap
     pages their refcount traffic touches, which is stochastic, so a
     single-shot reading is noisy; the variants are interleaved and each
-    takes its best of three.  Guarded as a boolean: the arena run must
-    not use more memory per worker than the copying run.
+    takes its best of five.  Guarded as a boolean: the arena run must
+    not use more memory per worker than the plane-off run.
     """
     import gc
 
-    from repro.engine.store import TraceStore
     from repro.experiments.runner import ExperimentRunner
 
     budgets = {"eval_instructions": 1_600_000, "profile_instructions": 320_000}
-    root = tmp_path_factory.mktemp("arena-rss")
-    cache_v1, cache_v2 = root / "v1-cache", root / "v2-cache"
+    cache = tmp_path_factory.mktemp("arena-rss")
 
-    def grid_run(cache):
+    def grid_run():
         gc.collect()
         runner = ExperimentRunner(cache_dir=cache, **budgets)
         reports, wall = _time(
@@ -612,42 +524,25 @@ def test_bench_grid_arena_rss(benchmark, tmp_path_factory, monkeypatch):
         )
         return reports, wall, runner.last_grid
 
-    def v1_world(on: bool) -> None:
-        if on:
-            monkeypatch.setenv("REPRO_STORE_FORMAT", "1")
-            monkeypatch.setenv("REPRO_PLANE", "off")
-        else:
-            monkeypatch.delenv("REPRO_STORE_FORMAT")
-            monkeypatch.delenv("REPRO_PLANE")
-
-    # Seed a v1-format cache (the pre-PR on-disk world), then bulk-migrate
-    # a copy to v2 entry directories for the arena runs — same artifacts,
-    # two data planes.
-    import shutil
-
-    v1_world(True)
-    want = ExperimentRunner(cache_dir=cache_v1, **budgets).run_grid(
+    # Warm the store serially; both variants then read the same entries.
+    want = ExperimentRunner(cache_dir=cache, **budgets).run_grid(
         _PLANE_GRID_CELLS, jobs=1
     )
-    v1_world(False)
-    shutil.copytree(cache_v1, cache_v2)
-    outcome = TraceStore(cache_v2).migrate()
-    assert outcome["migrated"] > 0 and outcome["discarded"] == 0
 
     base_runs, arena_runs = [], []
-    for repeat in range(3):
-        v1_world(True)
-        base_runs.append(grid_run(cache_v1))
-        v1_world(False)
-        if repeat == 2:  # the timed round, once the page cache is warm
-            arena_runs.append(run_once(benchmark, lambda: grid_run(cache_v2)))
+    for repeat in range(5):
+        monkeypatch.setenv("REPRO_PLANE", "off")
+        base_runs.append(grid_run())
+        monkeypatch.delenv("REPRO_PLANE")
+        if repeat == 4:  # the timed round, once the page cache is warm
+            arena_runs.append(run_once(benchmark, grid_run))
         else:
-            arena_runs.append(grid_run(cache_v2))
+            arena_runs.append(grid_run())
 
     for reports, _, summary in base_runs:
         assert summary.plane_attached == 0
         for a, b in zip(want, reports):
-            assert a.counters == b.counters, "npz/serial variants diverged"
+            assert a.counters == b.counters, "plane-off/serial variants diverged"
     for reports, _, summary in arena_runs:
         assert summary.plane_attached >= len(_PLANE_GRID_BENCHMARKS), (
             f"only {summary.plane_attached} plane attachments in a warm grid"
@@ -662,7 +557,7 @@ def test_bench_grid_arena_rss(benchmark, tmp_path_factory, monkeypatch):
     arena_no_worse = 1.0 if arena_rss <= base_rss else 0.0
 
     emit(
-        f"[engine] 16-cell grid worker footprint: npz copies {base_rss}KB, "
+        f"[engine] 16-cell grid worker footprint: plane off {base_rss}KB, "
         f"shared arena {arena_rss}KB per worker "
         f"({attached} attachments; walls {base_wall:.2f}s vs {arena_wall:.2f}s)"
     )
@@ -672,17 +567,17 @@ def test_bench_grid_arena_rss(benchmark, tmp_path_factory, monkeypatch):
             "cells": len(_PLANE_GRID_CELLS),
             "jobs": 4,
             "eval_instructions": budgets["eval_instructions"],
-            "npz_peak_worker_rss_kb": base_rss,
+            "plane_off_peak_worker_rss_kb": base_rss,
             "arena_peak_worker_rss_kb": arena_rss,
             "plane_attached": attached,
-            "npz_wall_s": round(base_wall, 4),
+            "plane_off_wall_s": round(base_wall, 4),
             "arena_wall_s": round(arena_wall, 4),
             "arena_no_worse": arena_no_worse,
         },
     )
     assert arena_rss < base_rss, (
         f"arena workers ({arena_rss}KB) should grow measurably less than "
-        f"npz-copying workers ({base_rss}KB)"
+        f"plane-off workers ({base_rss}KB)"
     )
 
 

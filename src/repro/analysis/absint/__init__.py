@@ -14,16 +14,12 @@ wpa)`` configuration it derives, without replaying a single event:
 * :mod:`~repro.analysis.absint.bounds` — static lower/upper bounds on
   every :class:`~repro.cache.access.FetchCounters` field and on priced
   energy, bracketing any real run (the S008 sanitizer invariant);
-* :mod:`~repro.analysis.absint.prune` — sweep-pruning certificates:
-  members of a grid family proven outcome-equivalent collapse to one
-  representative and are reconstructed bit-identically;
 * :mod:`~repro.analysis.absint.certify` — the ``repro analyze`` back
   end: deterministic per-workload JSON certificates.
 
 Entry points: the ``repro analyze`` CLI subcommand, the ``A``-layer lint
-rules (:mod:`repro.analysis.rules.absint_rules`), the S008 sanitizer
-invariant, and ``ExperimentRunner(prune=True)`` /
-``repro grid --prune-static``.  See ``docs/static_analysis.md``.
+rules (:mod:`repro.analysis.rules.absint_rules`) and the S008 sanitizer
+invariant.  See ``docs/static_analysis.md``.
 """
 
 from repro.analysis.absint.analysis import (
@@ -52,11 +48,6 @@ from repro.analysis.absint.lattice import (
     CacheUniverse,
     Classification,
 )
-from repro.analysis.absint.prune import (
-    PruneCertificate,
-    layout_line_starts,
-    plan_prune,
-)
 
 __all__ = [
     "AbstractState",
@@ -68,7 +59,6 @@ __all__ = [
     "ConfigAnalysis",
     "CounterBounds",
     "LineSummary",
-    "PruneCertificate",
     "absint_flow_graph",
     "analyze_cache",
     "analyze_workload",
@@ -76,8 +66,6 @@ __all__ = [
     "bounds_for_options",
     "energy_bounds",
     "footprint_bounds",
-    "layout_line_starts",
-    "plan_prune",
     "render_analysis_json",
     "render_analysis_text",
 ]

@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache = sub.add_parser(
         "cache", help="manage the persistent trace cache ($REPRO_CACHE_DIR)"
     )
-    cache.add_argument("action", choices=["stats", "clear", "migrate"])
+    cache.add_argument("action", choices=["stats", "clear"])
     cache.add_argument(
         "--dir",
         default=None,
@@ -435,18 +435,6 @@ def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--prune-static",
-        action="store_true",
-        help=(
-            "collapse sweep cells the static analysis proves "
-            "outcome-equivalent to one representative replay, "
-            "reconstructing the rest bit-identically under a certificate "
-            "(see docs/static_analysis.md); takes effect on family "
-            "grids, including WPA sweeps under the default engine; a "
-            "failed certificate falls back to unpruned execution"
-        ),
-    )
-    parser.add_argument(
         "--backend",
         default=None,
         choices=sorted(BACKEND_CHOICES),
@@ -526,7 +514,6 @@ def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
         strict=getattr(args, "strict", False),
         sanitize=getattr(args, "sanitize", False),
         resilience=_resilience_from_args(args),
-        prune=getattr(args, "prune_static", False),
     )
 
 
@@ -535,15 +522,11 @@ def _print_grid_summary(runner: ExperimentRunner) -> None:
     summary = runner.last_grid
     if summary is None or not summary.families:
         return
-    line = (
+    print(
         f"grid planner: {summary.families} family(ies) covering "
-        f"{summary.family_cells} of {summary.total} cell(s)"
+        f"{summary.family_cells} of {summary.total} cell(s)",
+        file=sys.stderr,
     )
-    if summary.pruned:
-        line += f"; {summary.pruned} cell(s) statically pruned"
-    print(line, file=sys.stderr)
-    for certificate in summary.prune_certificates:
-        print(f"  certificate {certificate}", file=sys.stderr)
 
 
 def _cmd_list_benchmarks() -> int:
@@ -1091,17 +1074,12 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         counts = cast(Dict[str, int], stats["entries"])
         kind_bytes = cast(Dict[str, int], stats["kind_bytes"])
         total_bytes = cast(int, stats["total_bytes"])
-        format_entries = cast(Dict[str, int], stats["format_entries"])
         quarantined = cast(int, stats["quarantined"])
         print(f"cache directory : {stats['dir']}")
         print(f"entries         : {sum(counts.values())}")
         print(f"size            : {total_bytes / KB:.1f}KB")
         for kind, count in sorted(counts.items()):
             print(f"  {kind:<8}: {count} entries, {kind_bytes[kind] / KB:.1f}KB")
-        print(
-            f"trace formats   : "
-            f"{format_entries['v2']} v2 (mmap), {format_entries['v1']} v1 (npz)"
-        )
         if quarantined:
             quarantine_bytes = cast(int, stats["quarantine_bytes"])
             print(
@@ -1113,14 +1091,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"session misses  : {stats['session_misses']}")
         if stats["writes_disabled"]:
             print("writes          : DISABLED (earlier write failure)")
-    elif args.action == "migrate":
-        outcome = store.migrate()
-        print(
-            f"migrated {outcome['migrated']} legacy entries to format "
-            f"v{store.FORMAT_VERSION} in {store.root} "
-            f"({outcome['skipped']} already current or kept, "
-            f"{outcome['discarded']} corrupt discarded)"
-        )
     else:
         removed = store.clear()
         print(f"removed {removed} entries from {store.root}")

@@ -10,22 +10,18 @@ and stores it under ``REPRO_CACHE_DIR`` (default ``.repro_cache/``).
 
 Entry format v2 (the current :data:`TraceStore.FORMAT_VERSION`) stores
 block/event traces as mmap-able ``.npy``-per-array entry *directories*
-(``blocks-<hash>.v2/``) instead of compressed ``.npz`` archives: loads
-return read-only page-cache-backed views instead of decompressed heap
-copies, so every process replaying the same trace shares the same
-physical pages.  Legacy v1 ``.npz`` entries are migrated transparently on
-first read (and in bulk via ``repro cache migrate``); setting
-``REPRO_STORE_FORMAT=1`` keeps writing the v1 format (rollback knob, also
-used by the benches for an honest copy-loading baseline).
+(``blocks-<hash>.v2/``): loads return read-only page-cache-backed views,
+so every process replaying the same trace shares the same physical pages.
+Entries of the retired v1 format (``.npz`` archives, ``v1|`` keys) are
+never read: they hash to other names, so a lookup misses and re-derives a
+v2 entry, and the leftovers stay inert until ``clear()`` removes them.
 
 Safety properties:
 
 * the full key is stored inside each entry and verified on load, so a hash
   collision or a stale file silently re-derives instead of corrupting a run;
-* a bumped :data:`TraceStore.FORMAT_VERSION` re-keys every artifact; old
-  v1 entries remain readable through read-through migration and are
-  republished under the current format (the legacy entry is deleted only
-  after the new one is safely in place);
+* a bumped :data:`TraceStore.FORMAT_VERSION` re-keys every artifact, so
+  entries of an older format are simply re-derived;
 * corrupted or truncated entries are deleted and treated as misses; an
   entry that cannot even be deleted (read-only cache) is quarantined to
   ``<cache>/quarantine/`` so it can never be loaded again (``stats()``
@@ -56,7 +52,7 @@ import os
 import shutil
 import warnings
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, Optional, Tuple, Union
 
 from repro.layout.layouts import Layout
 from repro.profiling.profile_data import ProfileData
@@ -152,8 +148,7 @@ class TraceStore:
     """Filesystem-backed artifact cache (see module docstring)."""
 
     #: Bump after a format or semantic change in how artifacts are
-    #: derived.  Version 2 = mmap-able entry directories; v1 ``.npz``
-    #: entries are not invalidated but migrated on first read.
+    #: derived.  Version 2 = mmap-able entry directories.
     FORMAT_VERSION = 2
 
     _KINDS = ("blocks", "events", "profile")
@@ -166,17 +161,9 @@ class TraceStore:
         #: Session hit/miss counters per artifact kind (aggregated above).
         self.kind_hits = {kind: 0 for kind in self._KINDS}
         self.kind_misses = {kind: 0 for kind in self._KINDS}
-        #: Legacy entries republished under the current format this session.
-        self.migrated = 0
         #: Set after an environment write failure: the store keeps serving
         #: reads but stops persisting (degrade to cache-off for writes).
         self.writes_disabled = False
-        #: Entry format for new trace writes: 2 (mmap-able entry
-        #: directories, the default) or 1 (compressed ``.npz`` archives)
-        #: when ``REPRO_STORE_FORMAT=1`` — a rollback knob that also gives
-        #: the benches an honest copy-loading baseline.
-        env_format = os.environ.get("REPRO_STORE_FORMAT", "").strip()
-        self.write_format = 1 if env_format == "1" else 2
 
     @classmethod
     def resolve(
@@ -201,49 +188,7 @@ class TraceStore:
         name = hashlib.sha256(key.encode()).hexdigest()[:24]
         if kind == "profile":
             return self.root / f"profile-{name}.json"
-        if self.write_format == 1:
-            return self.root / f"{kind}-{name}.npz"
         return self.root / f"{kind}-{name}{self._V2_SUFFIX}"
-
-    def legacy_path_for(self, kind: str, key: str) -> Path:
-        """Where the v1-era store would have put this artifact.
-
-        Runner keys embed the format version, so the v1 entry lives under
-        the hash of the ``v1|``-prefixed key; unversioned keys hash to the
-        same name in both eras.
-        """
-        suffix = ".json" if kind == "profile" else ".npz"
-        name = hashlib.sha256(self._legacy_key(key).encode()).hexdigest()[:24]
-        return self.root / f"{kind}-{name}{suffix}"
-
-    @classmethod
-    def _legacy_key(cls, key: str) -> str:
-        prefix = f"v{cls.FORMAT_VERSION}|"
-        if key.startswith(prefix):
-            return "v1|" + key[len(prefix):]
-        return key
-
-    @classmethod
-    def _current_key(cls, key: str) -> str:
-        if key.startswith("v1|"):
-            return f"v{cls.FORMAT_VERSION}|" + key[len("v1|"):]
-        return key
-
-    def _legacy_candidates(self, kind: str, key: str) -> List[Tuple[Path, str]]:
-        """(path, stored key) pairs a pre-v2 store may have written for ``key``.
-
-        Two generations exist: entries keyed under the old ``v1|`` prefix,
-        and same-key ``.npz`` entries from a ``REPRO_STORE_FORMAT=1`` store.
-        """
-        suffix = ".json" if kind == "profile" else ".npz"
-        candidates: List[Tuple[Path, str]] = []
-        primary = self.path_for(kind, key)
-        for candidate_key in dict.fromkeys((self._legacy_key(key), key)):
-            name = hashlib.sha256(candidate_key.encode()).hexdigest()[:24]
-            path = self.root / f"{kind}-{name}{suffix}"
-            if path != primary:
-                candidates.append((path, candidate_key))
-        return candidates
 
     def _discard(self, path: Path) -> None:
         """Remove a corrupt/stale entry; quarantine it when removal fails.
@@ -283,7 +228,8 @@ class TraceStore:
             raise
 
     def _tmp_for(self, path: Path) -> Path:
-        # Same suffix as the target so np.savez does not append another one.
+        # Keep the target's suffix: entry scans recognise staging names by
+        # their ``.tmp<suffix>`` ending.
         nonce = f"{os.getpid()}-{next(_TMP_COUNTER)}-{os.urandom(4).hex()}"
         return path.with_name(f"{path.stem}.{nonce}.tmp{path.suffix}")
 
@@ -313,60 +259,33 @@ class TraceStore:
     # Block traces and line-event traces (via repro.trace.io)
     # ------------------------------------------------------------------
     def _load_trace(
-        self,
-        kind: str,
-        key: str,
-        load_v1: Callable[..., object],
-        load_v2: Callable[..., object],
-        save: Callable[[str, object], Optional[Path]],
+        self, kind: str, key: str, load: Callable[..., object]
     ) -> Optional[object]:
         path = self.path_for(kind, key)
-        if path.exists():
-            try:
-                chaos_point("store.load", f"{kind}:{key}")
-                loader = load_v2 if path.suffix == self._V2_SUFFIX else load_v1
-                artifact = loader(path, expected_key=key)
-            except OSError:
-                # Transient environment fault: miss, but keep the entry.
-                self._miss(kind)
-                return None
-            except Exception:
-                # Corrupt/truncated/stale entry (TraceError, BadZipFile, ...)
-                self._discard(path)
-                self._miss(kind)
-                return None
-            self._hit(kind)
-            return artifact
-        # Read-through migration: serve a legacy v1 entry and republish it
-        # under the current format.  The legacy file is removed only after
-        # the new entry is safely in place (a degraded store keeps it).
-        for legacy, legacy_key in self._legacy_candidates(kind, key):
-            if not legacy.exists():
-                continue
-            try:
-                chaos_point("store.load", f"{kind}:{key}")
-                artifact = load_v1(legacy, expected_key=legacy_key)
-            except OSError:
-                self._miss(kind)
-                return None
-            except Exception:
-                self._discard(legacy)
-                continue
-            if self.write_format == 2 and save(key, artifact) is not None:
-                self._discard(legacy)
-                self.migrated += 1
-            self._hit(kind)
-            return artifact
-        self._miss(kind)
-        return None
+        if not path.exists():
+            self._miss(kind)
+            return None
+        try:
+            chaos_point("store.load", f"{kind}:{key}")
+            artifact = load(path, expected_key=key)
+        except OSError:
+            # Transient environment fault: miss, but keep the entry.
+            self._miss(kind)
+            return None
+        except Exception:
+            # Corrupt/truncated/stale entry (TraceError, ValueError, ...)
+            self._discard(path)
+            self._miss(kind)
+            return None
+        self._hit(kind)
+        return artifact
 
     def _save_trace(
         self,
         kind: str,
         key: str,
         artifact: object,
-        save_v1: Callable[..., None],
-        save_v2: Callable[..., None],
+        save: Callable[..., None],
         corrupt_member: str,
     ) -> Optional[Path]:
         if self.writes_disabled:
@@ -376,14 +295,10 @@ class TraceStore:
         try:
             chaos_point("store.save", f"{kind}:{key}")
             self.root.mkdir(parents=True, exist_ok=True)
-            if path.suffix == self._V2_SUFFIX:
-                save_v2(artifact, tmp, key=key)
-                # Fault injection tears real payload bytes, not the
-                # directory inode: aim it at the biggest member.
-                corrupt_file("store.save", f"{kind}:{key}", tmp / corrupt_member)
-            else:
-                save_v1(artifact, tmp, key=key)
-                corrupt_file("store.save", f"{kind}:{key}", tmp)
+            save(artifact, tmp, key=key)
+            # Fault injection tears real payload bytes, not the directory
+            # inode: aim it at the biggest member.
+            corrupt_file("store.save", f"{kind}:{key}", tmp / corrupt_member)
             self._replace(tmp, path)
         except OSError as error:
             self._cleanup(tmp)
@@ -392,13 +307,7 @@ class TraceStore:
         return path
 
     def load_block_trace(self, key: str) -> Optional[BlockTrace]:
-        trace = self._load_trace(
-            "blocks",
-            key,
-            trace_io.load_block_trace,
-            trace_io.load_block_trace_v2,
-            lambda k, t: self.save_block_trace(k, t),  # type: ignore[arg-type]
-        )
+        trace = self._load_trace("blocks", key, trace_io.load_block_trace)
         return trace  # type: ignore[return-value]
 
     def save_block_trace(self, key: str, trace: BlockTrace) -> Optional[Path]:
@@ -407,18 +316,11 @@ class TraceStore:
             key,
             trace,
             trace_io.save_block_trace,
-            trace_io.save_block_trace_v2,
             "uids.npy",
         )
 
     def load_events(self, key: str) -> Optional[LineEventTrace]:
-        events = self._load_trace(
-            "events",
-            key,
-            trace_io.load_events,
-            trace_io.load_events_v2,
-            lambda k, e: self.save_events(k, e),  # type: ignore[arg-type]
-        )
+        events = self._load_trace("events", key, trace_io.load_events)
         return events  # type: ignore[return-value]
 
     def save_events(self, key: str, events: LineEventTrace) -> Optional[Path]:
@@ -427,7 +329,6 @@ class TraceStore:
             key,
             events,
             trace_io.save_events,
-            trace_io.save_events_v2,
             "line_addrs.npy",
         )
 
@@ -436,27 +337,12 @@ class TraceStore:
     # ------------------------------------------------------------------
     def load_profile(self, key: str) -> Optional[ProfileData]:
         path = self.path_for("profile", key)
-        if path.exists():
-            profile = self._read_profile(path, key)
-            if profile is None:
-                self._miss("profile")
-                return None
-            self._hit("profile")
-            return profile
-        # Read-through migration of a profile persisted under the v1 key.
-        for legacy, legacy_key in self._legacy_candidates("profile", key):
-            if not legacy.exists():
-                continue
-            profile = self._read_profile(legacy, legacy_key)
-            if profile is None:
-                continue
-            if self.save_profile(key, profile) is not None:
-                self._discard(legacy)
-                self.migrated += 1
-            self._hit("profile")
-            return profile
-        self._miss("profile")
-        return None
+        profile = self._read_profile(path, key) if path.exists() else None
+        if profile is None:
+            self._miss("profile")
+            return None
+        self._hit("profile")
+        return profile
 
     def _read_profile(self, path: Path, key: str) -> Optional[ProfileData]:
         try:
@@ -535,16 +421,12 @@ class TraceStore:
         return counts
 
     def stats(self) -> Dict[str, object]:
-        """Directory, per-kind/per-format counts/bytes, quarantine, hit rates."""
+        """Directory, per-kind counts/bytes, quarantine, hit rates."""
         counts = {kind: 0 for kind in self._KINDS}
         kind_bytes = {kind: 0 for kind in self._KINDS}
-        format_entries = {"v1": 0, "v2": 0}
         for path, kind in self._iter_entries():
             counts[kind] += 1
             kind_bytes[kind] += self._entry_bytes(path)
-            if kind != "profile":  # profiles are format-neutral JSON
-                version = "v2" if path.suffix == self._V2_SUFFIX else "v1"
-                format_entries[version] += 1
         quarantine = self.root / "quarantine"
         quarantined = 0
         quarantine_bytes = 0
@@ -557,14 +439,12 @@ class TraceStore:
             "entries": counts,
             "kind_bytes": kind_bytes,
             "total_bytes": sum(kind_bytes.values()),
-            "format_entries": format_entries,
             "quarantined": quarantined,
             "quarantine_bytes": quarantine_bytes,
             "session_hits": self.hits,
             "session_misses": self.misses,
             "session_kind_hits": dict(self.kind_hits),
             "session_kind_misses": dict(self.kind_misses),
-            "session_migrated": self.migrated,
             "writes_disabled": self.writes_disabled,
         }
 
@@ -596,79 +476,3 @@ class TraceStore:
             except OSError:
                 pass
         return removed
-
-    def migrate(self) -> Dict[str, int]:
-        """Republish every legacy v1 trace entry under the current format.
-
-        Returns counts: ``migrated`` (legacy entries rewritten and
-        removed), ``discarded`` (corrupt or keyless legacy entries
-        deleted), ``skipped`` (already-current entries, plus legacy
-        entries kept because their replacement could not be written).
-        """
-        out = {"migrated": 0, "discarded": 0, "skipped": 0}
-        for path, kind in list(self._iter_entries()):
-            if kind == "profile":
-                self._migrate_profile(path, out)
-            elif path.suffix == self._V2_SUFFIX:
-                out["skipped"] += 1
-            else:
-                self._migrate_trace(kind, path, out)
-        return out
-
-    def _migrate_trace(self, kind: str, path: Path, out: Dict[str, int]) -> None:
-        load = (
-            trace_io.load_block_trace if kind == "blocks" else trace_io.load_events
-        )
-        save = self.save_block_trace if kind == "blocks" else self.save_events
-        try:
-            stored_key = trace_io.read_cache_key(path)
-            if stored_key is None:
-                raise ValueError(f"{path} carries no cache key")
-            artifact = load(path, expected_key=stored_key)
-        except Exception:
-            self._discard(path)
-            out["discarded"] += 1
-            return
-        new_key = self._current_key(stored_key)
-        target = self.path_for(kind, new_key)
-        if target == path:
-            out["skipped"] += 1
-            return
-        if target.exists():
-            # Already migrated by an earlier read-through; drop the leftover.
-            self._discard(path)
-            out["skipped"] += 1
-            return
-        if save(new_key, artifact) is None:  # type: ignore[arg-type]
-            out["skipped"] += 1  # degraded store: keep the legacy entry
-            return
-        self._discard(path)
-        out["migrated"] += 1
-
-    def _migrate_profile(self, path: Path, out: Dict[str, int]) -> None:
-        try:
-            payload = json.loads(path.read_text())
-            if payload.get("cache_kind") != _PROFILE_KIND:
-                raise ValueError("foreign profile entry")
-            stored_key = payload.get("cache_key")
-            if not stored_key:
-                raise ValueError("profile entry carries no cache key")
-            profile = ProfileData.load(path)
-        except Exception:
-            self._discard(path)
-            out["discarded"] += 1
-            return
-        new_key = self._current_key(str(stored_key))
-        target = self.path_for("profile", new_key)
-        if target == path:
-            out["skipped"] += 1
-            return
-        if target.exists():
-            self._discard(path)
-            out["skipped"] += 1
-            return
-        if self.save_profile(new_key, profile) is None:
-            out["skipped"] += 1
-            return
-        self._discard(path)
-        out["migrated"] += 1

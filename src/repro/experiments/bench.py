@@ -12,10 +12,10 @@ more stable across runner hardware than the raw walls:
 * ``grid.auto_sweep.auto_speedup`` — the default-engine grid (which
   replays the 256-point sweep as one differential family) vs per-cell
   ``vector`` replay of the same grid;
-* ``grid.wpa_sweep_256_pruned.pruned_fraction`` — the share of the
-  256-point sweep the static pruning certificate collapses.  Not a wall
-  time at all: the certificate is derived purely from the layout, so the
-  fraction is deterministic and any drop means the analysis got weaker.
+* ``store.load_events.derive_speedup`` — a warm store load vs re-deriving
+  the same line events from the block trace;
+* ``grid.sharded_sweep.chaos_identical`` and ``grid.arena_rss.arena_no_worse``
+  — booleans (1.0 or 0.0), not wall-time ratios.
 
 A guarded speedup may drift or improve freely; dropping more than the
 tolerance (default 20%) below the baseline fails the gate.  A metric
@@ -59,14 +59,13 @@ GUARDED: Tuple[Tuple[str, str], ...] = (
     ("grid.wpa_sweep_256", "differential_speedup"),
     # The surviving default: `auto` run_grid vs per-cell vector replay.
     ("grid.auto_sweep", "auto_speedup"),
-    ("grid.wpa_sweep_256_pruned", "pruned_fraction"),
     # Deliberately not a wall-clock ratio: the sharded backend's guarded
     # property is bit-identity under injected shard crashes (1.0 or 0.0).
     ("grid.sharded_sweep", "chaos_identical"),
-    # Warm mmap (v2) vs npz-decompress (v1) store loads — same process,
-    # same trace, so the ratio is hardware-stable like the tiers above.
-    ("store.load_events", "warm_speedup"),
-    # Boolean: arena workers must not out-consume npz-copying workers
+    # Warm store load vs re-deriving the events — same process, same
+    # trace, so the ratio is hardware-stable like the tiers above.
+    ("store.load_events", "derive_speedup"),
+    # Boolean: arena workers must not out-consume plane-off workers
     # (per-worker Pss growth; 1.0 or 0.0).
     ("grid.arena_rss", "arena_no_worse"),
 )

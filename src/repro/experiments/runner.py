@@ -37,14 +37,9 @@ processes chunked by benchmark (see :mod:`repro.engine.grid`).
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
-
-if TYPE_CHECKING:
-    from repro.analysis.absint.prune import PruneCertificate
-    from repro.cache.geometry import CacheGeometry
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.energy.params import EnergyParams
 from repro.engine.batch import BatchMember, batch_counters
@@ -103,7 +98,6 @@ class ExperimentRunner:
         strict: bool = False,
         sanitize: bool = False,
         resilience: Optional[ResilienceConfig] = None,
-        prune: bool = False,
     ):
         self.eval_instructions = (
             eval_instructions
@@ -124,9 +118,6 @@ class ExperimentRunner:
         self.engine = engine
         self.strict = strict
         self.sanitize = sanitize
-        #: Collapse statically-equivalent sweep cells before replaying
-        #: (see :mod:`repro.analysis.absint.prune`).
-        self.prune = prune
         self.resilience = resilience.validate() if resilience is not None else None
         #: Structured outcome of the most recent :meth:`run_grid` call.
         self.last_failures: List[FailureReport] = []
@@ -146,7 +137,6 @@ class ExperimentRunner:
         self._block_traces: Dict[str, BlockTrace] = {}
         self._events: Dict[Tuple[str, LayoutPolicy, int], LineEventTrace] = {}
         self._mem_fractions: Dict[str, float] = {}
-        self._line_starts: Dict[Tuple[str, LayoutPolicy, int], Tuple[int, ...]] = {}
         self._reports: Dict[tuple, SimulationReport] = {}
         self._digests: Dict[str, str] = {}
         self._preflighted: set = set()
@@ -270,28 +260,6 @@ class ExperimentRunner:
             )
         return self._mem_fractions[benchmark]
 
-    def line_starts(
-        self, benchmark: str, policy: LayoutPolicy, line_size: int
-    ) -> Tuple[int, ...]:
-        """Sorted distinct line-start addresses the resolved layout covers.
-
-        A superset of the lines any trace over this layout can touch, so
-        the static sweep-pruning certificates built from it are sound for
-        every replay (see :mod:`repro.analysis.absint.prune`).
-        """
-        from repro.analysis.absint.prune import layout_line_starts
-
-        key = (benchmark, policy, line_size)
-        if key not in self._line_starts:
-            layout = self.layout(benchmark, policy)
-            uids = layout.block_order
-            self._line_starts[key] = layout_line_starts(
-                {uid: layout.address_of(uid) for uid in uids},
-                {uid: layout.size_of(uid) for uid in uids},
-                line_size,
-            )
-        return self._line_starts[key]
-
     # ------------------------------------------------------------------
     # Simulation
     # ------------------------------------------------------------------
@@ -410,7 +378,34 @@ class ExperimentRunner:
         if not cells:
             return []
         first = cells[0]
-        policy, geometry, members = self._family_members(cells)
+        policy = self._resolve_layout_policy(first.scheme, first.layout_policy)
+        geometry = first.machine.icache
+        members = []
+        for cell in cells:
+            cell_policy = self._resolve_layout_policy(cell.scheme, cell.layout_policy)
+            if (
+                cell.benchmark != first.benchmark
+                or cell_policy != policy
+                or cell.machine.icache != geometry
+            ):
+                raise ExperimentError(
+                    "report_family needs cells sharing (benchmark, layout "
+                    f"policy, geometry); {cell} does not match {first}"
+                )
+            if self.strict:
+                self.preflight(cell.benchmark, cell_policy, cell.machine, cell.wpa_size)
+            members.append(
+                BatchMember(
+                    cell.scheme,
+                    scheme_options(
+                        cell.machine,
+                        cell.scheme,
+                        wpa_size=cell.wpa_size,
+                        same_line_skip=cell.same_line_skip,
+                        l0_size=cell.l0_size,
+                    ),
+                )
+            )
 
         events = self.events(first.benchmark, policy, geometry.line_size)
         # Chaos hooks: "family" covers every family-tier replay (both
@@ -459,114 +454,6 @@ class ExperimentRunner:
             self.adopt_report(cell, report)
             reports.append(report)
         return reports
-
-    def _family_members(
-        self, cells: Sequence[GridCell]
-    ) -> Tuple[LayoutPolicy, "CacheGeometry", List[BatchMember]]:
-        """Validate a family's shared key and build its batch members."""
-        first = cells[0]
-        policy = self._resolve_layout_policy(first.scheme, first.layout_policy)
-        geometry = first.machine.icache
-        members = []
-        for cell in cells:
-            cell_policy = self._resolve_layout_policy(cell.scheme, cell.layout_policy)
-            if (
-                cell.benchmark != first.benchmark
-                or cell_policy != policy
-                or cell.machine.icache != geometry
-            ):
-                raise ExperimentError(
-                    "report_family needs cells sharing (benchmark, layout "
-                    f"policy, geometry); {cell} does not match {first}"
-                )
-            if self.strict:
-                self.preflight(cell.benchmark, cell_policy, cell.machine, cell.wpa_size)
-            members.append(
-                BatchMember(
-                    cell.scheme,
-                    scheme_options(
-                        cell.machine,
-                        cell.scheme,
-                        wpa_size=cell.wpa_size,
-                        same_line_skip=cell.same_line_skip,
-                        l0_size=cell.l0_size,
-                    ),
-                )
-            )
-        return policy, geometry, members
-
-    def report_family_pruned(
-        self, cells: Sequence[GridCell], engine: Optional[str] = None
-    ) -> Tuple[List[SimulationReport], Optional["PruneCertificate"]]:
-        """:meth:`report_family` behind a static sweep-pruning certificate.
-
-        Plans a :class:`~repro.analysis.absint.prune.PruneCertificate` over
-        the family: members whose configurations are statically proven
-        outcome-equivalent (their WPA thresholds cut the layout's line
-        addresses at the same place) collapse to one representative, only
-        representatives replay, and pruned cells are reconstructed from
-        their representative's counters — bit-identical by construction —
-        then re-priced with their own metadata.  Returns the reports in
-        cell order plus the certificate applied (``None`` when nothing was
-        prunable).  The certificate is re-validated before use; a mismatch
-        raises so the supervisor's degradation ladder can fall back to
-        unpruned execution.
-        """
-        from repro.analysis.absint.prune import plan_prune
-
-        if not cells:
-            return [], None
-        first = cells[0]
-        policy, geometry, members = self._family_members(cells)
-        # Chaos site "prune" lets the fault-injection harness knock this
-        # rung out and prove the supervisor degrades to unpruned replay.
-        token = f"{first.benchmark}:{policy.value}:{len(cells)}"
-        chaos_point("prune", token)
-        line_starts = self.line_starts(first.benchmark, policy, geometry.line_size)
-        certificate = plan_prune(line_starts, members)
-        if certificate is None:
-            return self.report_family(cells, engine=engine), None
-        if not certificate.validate(members):
-            raise ExperimentError(
-                f"prune certificate no longer matches family {token}"
-            )
-        representatives = certificate.representatives
-        rep_reports = self.report_family(
-            [cells[index] for index in representatives], engine=engine
-        )
-        report_of = dict(zip(representatives, rep_reports))
-        reports = []
-        for index, cell in enumerate(cells):
-            source_index = certificate.clone_of[index]
-            if source_index == index:
-                reports.append(report_of[index])
-            else:
-                reports.append(self._pruned_report(cell, report_of[source_index]))
-        return reports, certificate
-
-    def _pruned_report(
-        self, cell: GridCell, source: SimulationReport
-    ) -> SimulationReport:
-        """Reconstruct a pruned cell from its representative's counters."""
-        counters = dataclasses.replace(source.counters)
-        simulator = Simulator(
-            cell.machine,
-            self.energy_params,
-            self.organisation,
-            engine=self.engine,
-            sanitize=self.sanitize,
-        )
-        report = simulator.price(
-            counters,
-            cell.scheme,
-            benchmark=cell.benchmark,
-            layout_description=source.layout_description,
-            wpa_size=cell.wpa_size,
-            l0_size=cell.l0_size,
-            mem_fraction=self.mem_fraction(cell.benchmark),
-        )
-        self.adopt_report(cell, report)
-        return report
 
     def normalised(
         self,
@@ -653,7 +540,6 @@ class ExperimentRunner:
             "engine": self.engine,
             "strict": self.strict,
             "sanitize": self.sanitize,
-            "prune": self.prune,
         }
 
     def publish_plane(self, arena: Any, cells: Sequence[GridCell]) -> int:

@@ -19,9 +19,6 @@ site           where it fires
 ``differential``  the delta-driven family tier specifically (fires before
                  ``family`` on the same replay, so each rung of the
                  differential → batch → per-cell ladder is addressable)
-``prune``        applying a static sweep-pruning certificate in
-                 ``ExperimentRunner.report_family_pruned`` (the topmost
-                 ladder rung; recovery is unpruned family execution)
 ``shard``        a sharded-backend shard worker's entry point (key
                  ``shard_id@attempt``; see :mod:`repro.resilience.sharded`)
 ``lease``        a shard worker's heartbeat loop (fault ``heartbeat-loss``
@@ -96,7 +93,6 @@ _SITES = frozenset(
         "cell",
         "family",
         "differential",
-        "prune",
         "shard",
         "lease",
         "steal",

@@ -201,8 +201,7 @@ class FailureReport:
     mechanisms).  ``causes`` holds the exception cause chains of every
     failed attempt, oldest first.  ``recovery`` names the ladder rung that
     finally succeeded — ``retry``, ``engine-fallback``, ``fresh-worker``,
-    ``in-process``, the family-tier rungs (``unpruned``, ``batch``,
-    ``per-cell``), or the sharded backend's ``reassigned``,
+    ``in-process``, the family-tier rungs (``batch``, ``per-cell``), or the sharded backend's ``reassigned``,
     ``work-steal``, ``duplicate-delivery``, and ``local-backend`` — or
     ``none`` when the incident was not recovered.
     """

@@ -90,14 +90,11 @@ class GridSummary:
     executed: Tuple[str, ...]
     failed: Tuple[str, ...]
     failures: Tuple[FailureReport, ...]
-    #: Planner decisions: batch families formed, the cells they covered,
-    #: cells collapsed by static pruning certificates, and one compact
-    #: descriptor per certificate applied.  Counts include retried chunk
-    #: attempts (they describe planner activity, not distinct cells).
+    #: Planner decisions: families formed and the cells they covered.
+    #: Counts include retried chunk attempts (they describe planner
+    #: activity, not distinct cells).
     families: int = 0
     family_cells: int = 0
-    pruned: int = 0
-    prune_certificates: Tuple[str, ...] = ()
     #: Which execution backend ran the parallel portion (see
     #: :mod:`repro.resilience.backends`), the shards it planned, and how
     #: many duplicate deliveries its first-wins dedup dropped.
@@ -120,8 +117,6 @@ def _new_stats() -> Dict[str, Any]:
     return {
         "families": 0,
         "family_cells": 0,
-        "pruned": 0,
-        "certificates": [],
         "shards": 0,
         "duplicates": 0,
         "plane_attached": 0,
@@ -164,8 +159,6 @@ def _peak_rss_kb() -> int:
 def _merge_stats(into: Dict[str, Any], other: Dict[str, Any]) -> None:
     into["families"] += other.get("families", 0)
     into["family_cells"] += other.get("family_cells", 0)
-    into["pruned"] += other.get("pruned", 0)
-    into["certificates"].extend(other.get("certificates", []))
     into["shards"] = into.get("shards", 0) + other.get("shards", 0)
     into["duplicates"] = into.get("duplicates", 0) + other.get("duplicates", 0)
     into["plane_attached"] = into.get("plane_attached", 0) + other.get(
@@ -310,18 +303,12 @@ def run_cells(
     threshold sweeps, as differential families) and each family replays
     with one trace traversal; a family that fails for *any* reason — sanitizer
     trip, kernel bug, injected fault — records a recovered
-    :class:`FailureReport` and degrades one rung: a pruned family re-runs
-    unpruned, a differential family re-runs as a plain batch family, and a
-    batch family's members fall to the per-cell retry/backoff/engine-
-    fallback ladder of :func:`run_cell`.  Batching never weakens
-    supervision.
-
-    When the runner was built with ``prune=True``, each family first runs
-    through :meth:`ExperimentRunner.report_family_pruned`, which collapses
-    statically outcome-equivalent cells to one representative under a
-    certificate (see :mod:`repro.analysis.absint.prune`).  ``stats``, when
-    given, accumulates the planner decisions (families, cells covered,
-    cells pruned, certificates) for :class:`GridSummary`.
+    :class:`FailureReport` and degrades one rung: a differential family
+    re-runs as a plain batch family, and a batch family's members fall to
+    the per-cell retry/backoff/engine-fallback ladder of :func:`run_cell`.
+    Batching never weakens supervision.  ``stats``, when given,
+    accumulates the planner decisions (families, cells covered) for
+    :class:`GridSummary`.
     """
     singles = list(range(len(cells)))
     family_engine = _family_engine(runner)
@@ -330,9 +317,6 @@ def run_cells(
 
         families, singles = plan_families(
             cells, runner._resolve_layout_policy, engine=family_engine
-        )
-        use_prune = bool(getattr(runner, "prune", False)) and hasattr(
-            runner, "report_family_pruned"
         )
         for family in families:
             members = [cells[index] for index in family.indices]
@@ -344,30 +328,6 @@ def run_cells(
                 stats["families"] += 1
                 stats["family_cells"] += len(members)
             reports: Optional[List[SimulationReport]] = None
-            if use_prune:
-                try:
-                    reports, certificate = runner.report_family_pruned(
-                        members, engine=family.engine
-                    )
-                except Exception as error:
-                    failures.append(
-                        FailureReport(
-                            site="prune",
-                            benchmark=family.benchmark,
-                            cell=token,
-                            attempts=1,
-                            causes=tuple(cause_chain(error)),
-                            recovery="unpruned",
-                            recovered=True,
-                        )
-                    )
-                else:
-                    if certificate is not None and stats is not None:
-                        stats["pruned"] += certificate.pruned
-                        stats["certificates"].append(
-                            f"{family.benchmark}:{family.layout_policy.value}:"
-                            f"{certificate.pruned}/{certificate.total} pruned"
-                        )
             if reports is None and family.engine == "differential":
                 try:
                     reports = runner.report_family(members, engine="differential")
@@ -847,8 +807,6 @@ def supervise_grid(
         failures=tuple(failures),
         families=stats["families"],
         family_cells=stats["family_cells"],
-        pruned=stats["pruned"],
-        prune_certificates=tuple(stats["certificates"]),
         backend=config.backend,
         shards=stats["shards"],
         duplicate_results=stats["duplicates"],

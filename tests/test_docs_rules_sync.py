@@ -1,13 +1,17 @@
-"""The documented rule catalogs must match the registries exactly.
+"""The documented rule catalogs and CLI surface must match the code.
 
 ``docs/analysis.md`` and ``docs/verification.md`` both carry markdown
 tables of rule/invariant ids.  These tests pin every table row to the
 live registry (id, name, and severity) and fail on stale or missing
-rows, so the docs cannot drift from the code.
+rows, so the docs cannot drift from the code.  The same goes for every
+``--flag`` and ``REPRO_*`` environment variable the user-facing docs
+name: each must still be an option of the CLI parser, or read by the
+package.
 """
 
 from __future__ import annotations
 
+import argparse
 import re
 from pathlib import Path
 
@@ -16,6 +20,13 @@ from repro.verify.sanitizer import SANITIZER_INVARIANTS
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 README = DOCS.parent / "README.md"
+SRC = DOCS.parent / "src"
+USER_DOCS = (README, DOCS.parent / "EXPERIMENTS.md", *sorted(DOCS.glob("*.md")))
+
+#: Flags the docs name that belong to other tools (pytest-benchmark).
+_FOREIGN_FLAGS = frozenset({"--benchmark-only"})
+_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+_ENV_VAR = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
 
 _RULE_ROW = re.compile(
     r"^\|\s*([APLCVI]\d{3})\s*\|\s*([a-z0-9-]+)\s*\|\s*(\w+)\s*\|", re.MULTILINE
@@ -88,3 +99,40 @@ def test_static_analysis_doc_is_linked():
     assert (DOCS / "static_analysis.md").exists()
     assert "static_analysis.md" in (DOCS / "architecture.md").read_text()
     assert "static_analysis.md" in (DOCS / "verification.md").read_text()
+
+
+def _cli_options():
+    """Every option string of ``repro``, its subcommands included."""
+    from repro.cli import build_parser
+
+    options = set()
+    pending = [build_parser()]
+    while pending:
+        parser = pending.pop()
+        for action in parser._actions:
+            options.update(action.option_strings)
+            if isinstance(action, argparse._SubParsersAction):
+                pending.extend(action.choices.values())
+    return options
+
+
+def test_every_documented_flag_is_a_cli_option():
+    options = _cli_options()
+    stale = {
+        f"{doc.name}: {flag}"
+        for doc in USER_DOCS
+        for flag in _FLAG.findall(doc.read_text())
+        if flag not in options and flag not in _FOREIGN_FLAGS
+    }
+    assert not stale, sorted(stale)
+
+
+def test_every_documented_env_var_is_read_by_the_package():
+    source = "\n".join(path.read_text() for path in SRC.rglob("*.py"))
+    stale = {
+        f"{doc.name}: {name}"
+        for doc in USER_DOCS
+        for name in _ENV_VAR.findall(doc.read_text())
+        if f'"{name}"' not in source
+    }
+    assert not stale, sorted(stale)

@@ -10,9 +10,7 @@ pool and the sharded backend:
   planner forms, and a group with a single effective threshold stays per
   cell (the batch tier never runs on the default path);
 * **equivalence** — every report equals per-cell ``engine="vector"``
-  replay, and a seeded sample equals the reference schemes;
-* **pruning** — ``prune=True`` now takes effect under the default engine
-  and stays bit-identical.
+  replay, and a seeded sample equals the reference schemes.
 """
 
 import dataclasses
@@ -153,24 +151,3 @@ class TestDefaultEngineGrid:
         assert summary.families == 0 and summary.family_cells == 0
         assert reports == vector_reports[len(SWEEP_CELLS):]
 
-
-#: Far more thresholds than crc has distinct line-start cuts in 1..32KB.
-DENSE_SWEEP = [
-    GridCell("crc", "way-placement", wpa_size=point * KB) for point in range(1, 33)
-]
-
-
-class TestDefaultEnginePruning:
-    def test_prune_takes_effect_and_stays_bit_identical(self):
-        pruned = make_runner(prune=True)
-        reports = pruned.run_grid(DENSE_SWEEP)
-        summary = pruned.last_grid
-        assert summary is not None
-        assert summary.families == 1
-        assert summary.family_cells == len(DENSE_SWEEP)
-        assert summary.pruned >= len(DENSE_SWEEP) * 0.20
-        assert len(summary.prune_certificates) == 1
-        assert pruned.last_failures == []
-
-        vector = make_runner(engine="vector").run_grid(DENSE_SWEEP)
-        assert reports == vector

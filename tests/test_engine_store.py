@@ -1,5 +1,6 @@
 """Tests for the persistent artifact cache and the parallel grid runner."""
 
+import hashlib
 import json
 import warnings
 
@@ -10,18 +11,13 @@ from repro.engine.grid import GridCell
 from repro.engine.store import TraceStore, layout_digest, program_digest
 from repro.errors import TraceError
 from repro.experiments.runner import ExperimentRunner
-from repro.resilience import chaos
-from repro.resilience.chaos import ChaosConfig, ChaosRule
 from repro.layout import original_layout
 from repro.layout.placement import LayoutPolicy
+from repro.resilience import chaos
+from repro.resilience.chaos import ChaosConfig, ChaosRule
 from repro.trace.executor import CfgWalker
 from repro.trace.fetch import line_events_from_block_trace
-from repro.trace.io import (
-    load_block_trace,
-    save_block_trace,
-    save_block_trace_v2,
-    save_events,
-)
+from repro.trace.io import load_block_trace, save_block_trace
 
 KB = 1024
 
@@ -58,25 +54,24 @@ class TestKeyedArchives:
 
     def test_matching_key_loads(self, tmp_path, traced):
         trace, _ = traced
-        path = tmp_path / "t.npz"
+        path = tmp_path / "t"
         save_block_trace(trace, path, key="spam")
         assert_same_block_trace(load_block_trace(path, expected_key="spam"), trace)
 
     def test_mismatched_key_raises(self, tmp_path, traced):
         trace, _ = traced
-        path = tmp_path / "t.npz"
+        path = tmp_path / "t"
         save_block_trace(trace, path, key="spam")
         with pytest.raises(TraceError, match="different key"):
             load_block_trace(path, expected_key="eggs")
 
     def test_keyless_archive_fails_key_check_but_loads_plain(self, tmp_path, traced):
         trace, _ = traced
-        path = tmp_path / "t.npz"
+        path = tmp_path / "t"
         save_block_trace(trace, path)
-        with pytest.raises(TraceError):
+        with pytest.raises(TraceError, match="different key"):
             load_block_trace(path, expected_key="spam")
-        # and without an expectation the same archive is fine
-        save_block_trace(trace, path)
+        # and without an expectation the same entry is fine
         assert_same_block_trace(load_block_trace(path), trace)
 
 
@@ -123,7 +118,7 @@ class TestTraceStore:
         trace, _ = traced
         path = store.path_for("blocks", "k1")
         store.root.mkdir(parents=True, exist_ok=True)
-        save_block_trace_v2(trace, path, key="something-else")
+        save_block_trace(trace, path, key="something-else")
         assert store.load_block_trace("k1") is None
         assert not path.exists()
 
@@ -189,11 +184,11 @@ class TestStoreFailureModes:
         assert not rival.writes_disabled
         assert_same_block_trace(store.load_block_trace("k1"), trace)
         # stray staging litter (a writer that died mid-stage) is not an entry
-        (store.root / "blocks-dead.12345.tmp.npz").write_bytes(b"partial")
+        (store.root / "profile-dead.12345.tmp.json").write_bytes(b"partial")
         dead_dir = store.root / "blocks-dead.67890.tmp.v2"
         dead_dir.mkdir()
         (dead_dir / "uids.npy").write_bytes(b"partial")
-        assert store.entries()["blocks"] == 1
+        assert store.entries() == {"blocks": 1, "events": 0, "profile": 0}
 
     def test_write_failure_degrades_to_cache_off_with_one_warning(
         self, store, traced, monkeypatch
@@ -262,17 +257,10 @@ class TestStoreFailureModes:
 
 
 class TestFormatV2AndMigration:
-    """Format v2 entry directories, the ``REPRO_STORE_FORMAT`` rollback
-    knob, and v1 -> v2 migration — read-through, bulk, and profiles."""
+    """Format v2 entry directories, and the retired v1 format: its
+    leftovers are never read, only counted and cleared."""
 
     KEY = f"v{TraceStore.FORMAT_VERSION}|blocks|toy|seed=0"
-
-    def _plant_v1(self, store, trace, key):
-        """Write a v1-era block entry exactly where the old store kept it."""
-        legacy = store.legacy_path_for("blocks", key)
-        store.root.mkdir(parents=True, exist_ok=True)
-        save_block_trace(trace, legacy, key=TraceStore._legacy_key(key))
-        return legacy
 
     def test_v2_entries_are_mmapable_directories(self, store, traced):
         trace, _ = traced
@@ -283,82 +271,56 @@ class TestFormatV2AndMigration:
         assert_same_block_trace(loaded, trace)
         assert loaded.uids.flags.writeable is False
 
-    def test_store_format_env_rolls_back_to_v1(self, tmp_path, traced, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_FORMAT", "1")
-        store = TraceStore(tmp_path / "cache")
-        trace, events = traced
-        bpath = store.save_block_trace("k1", trace)
-        epath = store.save_events("k2", events)
-        assert bpath.suffix == ".npz" and bpath.is_file()
-        assert epath.suffix == ".npz"
-        assert_same_block_trace(store.load_block_trace("k1"), trace)
-        loaded = store.load_events("k2")
-        assert_same_events(loaded, events)
-        # v1 loads obey the same read-only discipline as mmap'd v2 loads
-        assert loaded.line_addrs.flags.writeable is False
-        assert store.stats()["format_entries"] == {"v1": 2, "v2": 0}
+    def test_leftover_v1_entries_are_inert(
+        self, store, traced, fast_runner, monkeypatch
+    ):
+        """A v1-era ``.npz`` trace and a ``v1|``-keyed profile miss, the
+        trace re-derives as a v2 entry, and neither leftover is opened."""
+        import zipfile
 
-    def test_read_through_migration_republishes_v1_entries(self, store, traced):
         trace, _ = traced
-        legacy = self._plant_v1(store, trace, self.KEY)
-        assert store.stats()["format_entries"] == {"v1": 1, "v2": 0}
-        loaded = store.load_block_trace(self.KEY)
-        assert_same_block_trace(loaded, trace)
-        assert store.hits == 1 and store.migrated == 1
-        # the legacy archive is gone; the v2 entry serves future readers
-        assert not legacy.exists()
-        assert store.path_for("blocks", self.KEY).is_dir()
-        assert store.stats()["format_entries"] == {"v1": 0, "v2": 1}
-        assert store.stats()["session_migrated"] == 1
-        fresh = TraceStore(store.root)
-        assert_same_block_trace(fresh.load_block_trace(self.KEY), trace)
-        assert fresh.migrated == 0  # already current: a plain v2 hit
+        v1_key = "v1|" + self.KEY.split("|", 1)[1]
+        profile_key = f"v{TraceStore.FORMAT_VERSION}|profile|crc"
+        v1_name = hashlib.sha256(v1_key.encode()).hexdigest()[:24]
+        store.root.mkdir(parents=True)
+        npz = store.root / f"blocks-{v1_name}.npz"
+        np.savez_compressed(
+            npz,
+            kind=np.array("repro-block-trace-v1"),
+            cache_key=np.array(v1_key),
+            program_name=np.array(trace.program_name),
+            uids=trace.uids,
+            num_instructions=np.array(trace.num_instructions),
+            num_program_runs=np.array(trace.num_program_runs),
+        )
+        v1_profile = store.save_profile(
+            "v1|" + profile_key.split("|", 1)[1], fast_runner.profile("crc")
+        )
+        leftover_bytes = npz.stat().st_size + v1_profile.stat().st_size
 
-    def test_corrupt_v1_entry_is_discarded_not_migrated(self, store, traced):
-        trace, _ = traced
-        legacy = self._plant_v1(store, trace, self.KEY)
-        legacy.write_bytes(b"torn v1 archive")
+        opened = []
+
+        def no_zip(file, *args, **kwargs):
+            opened.append(file)
+            raise AssertionError("a v1 .npz archive was opened")
+
+        monkeypatch.setattr(zipfile, "ZipFile", no_zip)
         assert store.load_block_trace(self.KEY) is None
-        assert not legacy.exists()
-        assert not store.path_for("blocks", self.KEY).exists()
-
-    def test_same_key_npz_entries_migrate_too(self, tmp_path, traced, monkeypatch):
-        """Entries a ``REPRO_STORE_FORMAT=1`` store wrote under the
-        *current* key are also found and republished as v2."""
-        trace, _ = traced
-        monkeypatch.setenv("REPRO_STORE_FORMAT", "1")
-        old = TraceStore(tmp_path / "cache")
-        npz = old.save_block_trace(self.KEY, trace)
-        monkeypatch.delenv("REPRO_STORE_FORMAT")
-        store = TraceStore(tmp_path / "cache")
+        assert store.load_profile(profile_key) is None
+        assert store.hits == 0 and store.misses == 2
+        # re-deriving after the miss publishes a v2 entry beside the leftovers
+        path = store.save_block_trace(self.KEY, trace)
+        assert path.suffix == ".v2"
         assert_same_block_trace(store.load_block_trace(self.KEY), trace)
-        assert store.migrated == 1
-        assert not npz.exists()
+        assert npz.exists() and v1_profile.exists()
 
-    def test_profile_read_through_migration(self, store, fast_runner):
-        profile = fast_runner.profile("crc")
-        key = f"v{TraceStore.FORMAT_VERSION}|profile|crc"
-        legacy = store.save_profile(TraceStore._legacy_key(key), profile)
-        assert legacy == store.legacy_path_for("profile", key)
-        loaded = store.load_profile(key)
-        assert loaded.block_counts == profile.block_counts
-        assert store.migrated == 1
-        assert not legacy.exists()
-        assert store.path_for("profile", key).exists()
-
-    def test_bulk_migrate_counts_and_rewrites_everything(self, store, traced):
-        trace, events = traced
-        self._plant_v1(store, trace, self.KEY)
-        ekey = f"v{TraceStore.FORMAT_VERSION}|events|toy|seed=0"
-        elegacy = store.legacy_path_for("events", ekey)
-        save_events(events, elegacy, key=TraceStore._legacy_key(ekey))
-        store.save_events("k2", events)  # already current
-        (store.root / "blocks-0badc0ffee.npz").write_bytes(b"junk")
-        outcome = store.migrate()
-        assert outcome == {"migrated": 2, "discarded": 1, "skipped": 1}
-        assert store.stats()["format_entries"] == {"v1": 0, "v2": 3}
-        assert_same_block_trace(store.load_block_trace(self.KEY), trace)
-        assert_same_events(store.load_events(ekey), events)
+        stats = store.stats()
+        assert stats["entries"] == {"blocks": 2, "events": 0, "profile": 1}
+        v2_bytes = sum(member.stat().st_size for member in path.iterdir())
+        assert stats["total_bytes"] == leftover_bytes + v2_bytes
+        assert store.clear() == 3
+        assert not npz.exists() and not v1_profile.exists()
+        assert opened == []
 
     def test_tmp_staging_names_are_unique_within_a_process(self, store):
         path = store.path_for("blocks", "k1")

@@ -26,19 +26,20 @@ def traced(toy_program, toy_models):
 class TestEventsRoundtrip:
     def test_roundtrip(self, tmp_path, traced):
         _, events = traced
-        path = tmp_path / "events.npz"
+        path = tmp_path / "events"
         save_events(events, path)
         loaded = load_events(path)
         assert loaded.line_size == events.line_size
         assert np.array_equal(loaded.line_addrs, events.line_addrs)
         assert np.array_equal(loaded.counts, events.counts)
         assert np.array_equal(loaded.slots, events.slots)
+        assert not loaded.line_addrs.flags.writeable
 
     def test_loaded_trace_drives_schemes_identically(self, tmp_path, traced):
         from repro.sim.simulator import Simulator
 
         _, events = traced
-        path = tmp_path / "events.npz"
+        path = tmp_path / "events"
         save_events(events, path)
         loaded = load_events(path)
         a = Simulator().run_events(events, "baseline")
@@ -47,20 +48,20 @@ class TestEventsRoundtrip:
 
     def test_wrong_kind_rejected(self, tmp_path, traced):
         trace, _ = traced
-        path = tmp_path / "blocks.npz"
+        path = tmp_path / "blocks"
         save_block_trace(trace, path)
-        with pytest.raises(TraceError, match="not a line-event"):
+        with pytest.raises(TraceError, match="not a repro-line-events"):
             load_events(path)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(TraceError):
-            load_events(tmp_path / "nope.npz")
+        with pytest.raises(TraceError, match="missing its meta record"):
+            load_events(tmp_path / "nope")
 
 
 class TestBlockTraceRoundtrip:
     def test_roundtrip(self, tmp_path, traced):
         trace, _ = traced
-        path = tmp_path / "blocks.npz"
+        path = tmp_path / "blocks"
         save_block_trace(trace, path)
         loaded = load_block_trace(path)
         assert loaded.program_name == trace.program_name
@@ -70,7 +71,7 @@ class TestBlockTraceRoundtrip:
 
     def test_wrong_kind_rejected(self, tmp_path, traced):
         _, events = traced
-        path = tmp_path / "events.npz"
+        path = tmp_path / "events"
         save_events(events, path)
-        with pytest.raises(TraceError, match="not a block-trace"):
+        with pytest.raises(TraceError, match="not a repro-block-trace"):
             load_block_trace(path)
